@@ -1,4 +1,4 @@
-"""Benchmark + CI guard: the critpath-off event core must stay free.
+"""Benchmark + CI guard: the critpath-off run loop must stay free.
 
 Not collected by pytest (no ``test_`` prefix) — run directly:
 
@@ -8,8 +8,9 @@ Not collected by pytest (no ``test_`` prefix) — run directly:
         benchmarks/critpath_overhead_baseline.json
 
 A :class:`~repro.obs.critpath.CritPath` attaches by *wrapping* each
-unit's tick and notify closure at loop setup — the production path with
-no CritPath attached must not pay a single extra branch per iteration.
+unit's tick callable once, before the loop starts — the production path
+with no CritPath attached must not pay a single extra branch per
+iteration.
 Absolute wall time is machine-dependent, so the guard checks the
 machine-relative **off/on ratio** (how long an unattributed run takes
 relative to an attributed run of the same pair, interleaved in one
@@ -108,10 +109,10 @@ def main(argv=None):
         print(f"  guard   : ratio {ratio:.3f} vs limit {limit:.3f} "
               f"(baseline {base:.3f} +{args.tolerance:.0%}) -> {verdict}")
         if ratio > limit:
-            print("critpath-off overhead regression: the unattributed event "
-                  "core slowed down relative to critpath-on; check for "
+            print("critpath-off overhead regression: the unattributed run "
+                  "loop slowed down relative to critpath-on; check for "
                   "bookkeeping that is not gated behind the one-time "
-                  "`critpath is not None` setup in run_event_loop.")
+                  "`critpath is not None` setup in System.run.")
             return 1
     return 0
 

@@ -13,7 +13,7 @@ the sampled mode's own cost must stay in the noise. Three arms of the
 same (system, workload) pair, interleaved in one process:
 
 * **off**     — no HostScope attached (the production path);
-* **full**    — ``HostScope(stride=1)``: every dispatch timed (exact
+* **full**    — ``HostScope(stride=1)``: every tick timed (exact
   attribution, reported for information);
 * **sampled** — ``HostScope(stride=STRIDE)``: the low-overhead mode CI
   and long sweeps should use.

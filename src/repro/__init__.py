@@ -7,4 +7,4 @@ Public entry points (see README for the full tour):
 * :mod:`repro.experiments` — regenerate every paper table and figure.
 """
 
-__version__ = "1.1.0"
+__version__ = "1.2.0"

@@ -95,7 +95,7 @@ class BigCore:
         "_complete_seq", "_front_avail", "_cur_line", "_fetch_blocked_on",
         "_sb", "_sb_waiting", "_outstanding", "breakdown", "instrs",
         "vector_instrs", "vector_dispatches", "obs", "_pv", "_obs_rob",
-        "_ivu_port_free", "_now_hint", "_ev_notify",
+        "_ivu_port_free", "_now_hint",
     )
 
     def __init__(
@@ -159,9 +159,6 @@ class BigCore:
         self._obs_rob = None
         self._ivu_port_free = 0
         self._now_hint = 0  # updated by the system each cycle, for callbacks
-        # event-loop wakeup: called at every asynchronous input (fills,
-        # engine responses) before the callback mutates core state
-        self._ev_notify = None
 
     # --------------------------------------------------------- observability
 
@@ -232,9 +229,6 @@ class BigCore:
             self._cur_line = None
 
     def _ifill(self, line, ready):
-        n = self._ev_notify
-        if n is not None:
-            n()
         self._front_avail = ready
 
     def forensic_state(self, now):
@@ -394,9 +388,8 @@ class BigCore:
         one idle-cycle attribution per cycle even when nothing moves.
 
         ``now`` is accepted for interface uniformity with the other
-        ticking units (the event core calls every unit's ``skip_ticks``
-        with the span's first tick time); the big core's attribution is
-        time-independent, so it is unused."""
+        ticking units; the big core's attribution is time-independent,
+        so it is unused."""
         self.breakdown.add(Stall.MISC, n)
         if self.obs is not None:
             self.obs.cycle(self._commit_stall_kind(), n)
@@ -565,9 +558,6 @@ class BigCore:
         self._outstanding += 1
 
         def waiter(line, ready):
-            n = self._ev_notify
-            if n is not None:
-                n()
             self._outstanding -= 1
             self._schedule_completion(entry, max(ready, self._now_hint))
 
@@ -636,9 +626,6 @@ class BigCore:
         self._outstanding += 1
 
         def waiter(line, ready):
-            n = self._ev_notify
-            if n is not None:
-                n()
             self._outstanding -= 1
             entry.pending_chunks -= 1
             if entry.pending_chunks == 0:
@@ -718,9 +705,6 @@ class BigCore:
     def _vector_response(self, entry):
         def respond(ready_time):
             """Engine callback: the scalar result arrives at ``ready_time``."""
-            n = self._ev_notify
-            if n is not None:
-                n()
             self._schedule_completion(entry, max(ready_time, self._now_hint))
 
         return respond
@@ -748,9 +732,6 @@ class BigCore:
         self._outstanding += 1
 
         def waiter(line, ready):
-            n = self._ev_notify
-            if n is not None:
-                n()
             self._outstanding -= 1
 
         return waiter

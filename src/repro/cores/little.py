@@ -30,7 +30,7 @@ class LittleCore:
         "_line_mask", "_head", "_front_avail", "_cur_line", "_regs",
         "_reg_kind", "_sb", "_sb_waiting", "_port_busy_cycle",
         "_outstanding_loads", "breakdown", "instrs", "active",
-        "obs", "_pv", "_pv_head", "_ev_notify",
+        "obs", "_pv", "_pv_head",
     )
 
     def __init__(
@@ -73,9 +73,6 @@ class LittleCore:
 
         self.obs = None  # UnitObs handle; every hook is a single cheap check
         self._pv = None  # PipeView handle; same cheap-check discipline
-        # event-loop wakeup: called at every asynchronous input (fills)
-        # before the callback mutates core state
-        self._ev_notify = None
         self._pv_head = None  # PipeRecord of the instruction in issue
 
     # --------------------------------------------------------- observability
@@ -122,18 +119,12 @@ class LittleCore:
             self._front_avail = _INF
 
     def _ifill(self, line, ready):
-        n = self._ev_notify
-        if n is not None:
-            n()
         self._front_avail = ready
 
     def _load_fill_waiter(self, dst):
         self._outstanding_loads += 1
 
         def waiter(line, ready):
-            n = self._ev_notify
-            if n is not None:
-                n()
             self._regs[dst] = ready
             self._outstanding_loads -= 1
 
@@ -354,9 +345,6 @@ class LittleCore:
         self._outstanding_loads += 1
 
         def waiter(line, ready):
-            n = self._ev_notify
-            if n is not None:
-                n()
             self._outstanding_loads -= 1
 
         return waiter

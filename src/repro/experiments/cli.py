@@ -42,10 +42,10 @@ Observability (see ``docs/observability.md``):
   (``bigvlittle-hostprof-v1``). This is the measurement behind the
   ROADMAP's vectorized-lane-execution plan: the biggest host share is
   what to batch next.
-* ``bigvlittle critpath <workload> [--json PATH]`` — the dual of
-  ``hostprof``: attribute every advance of *simulated* time to the unit
-  group whose armed event gated it, plus the wakeup-graph profile
-  (``bigvlittle-critpath-v1``). The per-group critical sim-times tile
+* ``bigvlittle critpath <workload> [--json PATH] [--top N]`` — the dual
+  of ``hostprof``: attribute every advance of *simulated* time to the
+  first unit group with work at the new instant
+  (``bigvlittle-critpath-v2``). The per-group critical sim-times tile
   the total simulated time exactly.
 * ``bigvlittle inspect <workload> [--at-ns N] [--json PATH]`` — the
   deadlock-forensics snapshot (``bigvlittle-forensics-v1``) on demand:
@@ -397,7 +397,7 @@ def _hostprof_parser():
     ap.add_argument("--scale", default="small",
                     choices=("tiny", "small", "full"))
     ap.add_argument("--stride", type=int, default=1, metavar="N",
-                    help="time only every N-th dispatch per group "
+                    help="time only every N-th tick per group "
                          "(extrapolated; default: 1 = time everything)")
     ap.add_argument("--top", type=int, default=None, metavar="N",
                     help="only show the N largest groups")
@@ -429,7 +429,7 @@ def _hostprof_main(argv):
         "workload": args.workload,
         "system": args.system,
         "scale": args.scale,
-        "loop": "event",
+        "loop": "skip",
         "sim_version": repro.__version__,
         "cycles": result.cycles,
     }
@@ -452,18 +452,18 @@ def _critpath_parser():
     ap = argparse.ArgumentParser(
         prog="bigvlittle critpath",
         description="Attribute every advance of simulated time in one run "
-                    "to the unit group whose armed event gated it, plus the "
-                    "wakeup-graph profile (bigvlittle-critpath-v1)")
+                    "to the first unit group with work at the new instant "
+                    "(bigvlittle-critpath-v2)")
     ap.add_argument("workload", help="workload name, e.g. saxpy, mmult, bfs")
     ap.add_argument("--system", default="1b-4VL",
                     help="system preset (default: 1b-4VL)")
     ap.add_argument("--scale", default="small",
                     choices=("tiny", "small", "full"))
-    ap.add_argument("--top", type=int, default=10, metavar="N",
-                    help="show at most N wakeup seams (default: 10)")
+    ap.add_argument("--top", type=int, default=None, metavar="N",
+                    help="only show the N largest groups")
     ap.add_argument("--json", nargs="?", const="-", default=None,
                     metavar="PATH",
-                    help="write the bigvlittle-critpath-v1 report as JSON to "
+                    help="write the bigvlittle-critpath-v2 report as JSON to "
                          "PATH ('-' or no value: stdout) instead of the table")
     return ap
 
@@ -478,7 +478,7 @@ def _critpath_main(argv):
     from repro.workloads import get_workload
 
     # always simulate fresh: like every obs verb, the attribution is a
-    # property of one live event-core schedule, never cache material
+    # property of one live run, never cache material
     cfg = preset(args.system)
     program = _program_for(cfg, get_workload(args.workload, args.scale))
     cp = CritPath()
@@ -489,7 +489,7 @@ def _critpath_main(argv):
         "workload": args.workload,
         "system": args.system,
         "scale": args.scale,
-        "loop": "event",
+        "loop": "skip",
         "sim_version": repro.__version__,
         "cycles": result.cycles,
     }
@@ -499,8 +499,8 @@ def _critpath_main(argv):
             print(json.dumps(doc, indent=1, sort_keys=True))
         else:
             cp.write_json(args.json, meta=meta)
-            print(f"wrote critpath report ({len(doc['groups'])} groups, "
-                  f"{doc['wakeup_edges']} wakeup edges) to {args.json}")
+            print(f"wrote critpath report ({len(doc['groups'])} groups) "
+                  f"to {args.json}")
         return 0
     print(f"== {args.workload}@{args.scale} on {args.system}: "
           f"{result.cycles} cycles (1 GHz), simulated in {wall:.1f}s ==")

@@ -29,7 +29,7 @@ class L2Cache:
                  "_nsets", "_set_mask", "_bank_mask", "_tags", "_lru",
                  "_dir", "_bank_free", "_clients", "reads", "writes",
                  "hits", "misses", "dirty_forwards", "invalidations_sent",
-                 "writebacks_in", "obs", "_obs_lat", "_ev_notify")
+                 "writebacks_in", "obs", "_obs_lat")
 
     def __init__(
         self,
@@ -81,10 +81,6 @@ class L2Cache:
         self.writebacks_in = 0
 
         self.obs = None  # UnitObs handle; every hook is a single cheap check
-        # event-loop wakeup: the L2 is the single entry point for every
-        # request into the memory side (L1 misses and raw-port line
-        # requests), so one notify here re-arms the memory unit
-        self._ev_notify = None
 
     # --------------------------------------------------------- observability
 
@@ -132,9 +128,6 @@ class L2Cache:
 
     def request(self, src_id, line, is_write, now, token=None):
         """Handle a fetch/ownership request; respond via the client's queue."""
-        n = self._ev_notify
-        if n is not None:
-            n()  # settle + re-arm the memory unit before any state moves
         client, coherent = self._clients[src_id]
         arrival = now + self.req_delay * self.period
         start = self._bank_slot(line, arrival)

@@ -94,8 +94,8 @@ class MemorySystem:
         self.little_l1i = [mk(f"lit{i}.l1i", True, False) for i in range(n_little)]
         self.little_l1d = [mk(f"lit{i}.l1d", False, False) for i in range(n_little)]
         self._all_l1 = self.big_l1i + self.big_l1d + self.little_l1i + self.little_l1d
-        # response queues in a flat list: next_work_ps is the event
-        # core's hottest probe and scans these on every memory re-arm
+        # response queues in a flat list: next_work_ps is a hot probe
+        # and scans these on every skip attempt
         self._l1_queues = [c.resp_queue for c in self._all_l1]
         self._raw_ports = []
         self.obs = None  # Observation handle; hooks stay a cheap None check
@@ -148,7 +148,7 @@ class MemorySystem:
                 if t < bound:
                     bound = t
         # inlined l2.next_idle_ps / dram.next_idle_ps: this probe runs on
-        # every memory re-arm, so the two busy->idle flips read the
+        # every skip attempt, so the two busy->idle flips read the
         # underlying fields directly
         t = max(self.l2._bank_free)
         if now < t < bound:

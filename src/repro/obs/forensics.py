@@ -4,18 +4,18 @@ When the watchdog fires, the interesting question is never "did we
 deadlock" (the :class:`~repro.errors.DeadlockError` already says so) but
 *who is asleep waiting on whom*. This module answers it: a
 :func:`snapshot` probes every ticking unit's scheduling state through
-the same pure seams the event core schedules with — ``next_work_ps``
+the same pure seams the run loop skips with — ``next_work_ps``
 bounds plus a per-component ``forensic_state`` summary (ROB / queue /
 in-flight occupancies) — and assembles a **wait-for graph** with cycle
 detection and a blocking frontier.
 
 The simulator attaches the resulting ``bigvlittle-forensics-v1`` report
 to every :class:`DeadlockError` it raises (watchdog *and* ``max_ns``
-horizon, both run loops), as ``err.forensics``; ``bigvlittle inspect
-<wl> --at-ns N`` produces the same snapshot on demand from a healthy
-run. Everything here is read-only by construction — the probes are the
-scheduler's own side-effect-free contracts — so taking a snapshot can
-never perturb stats (determinism-tested).
+horizon, with or without skipping), as ``err.forensics``;
+``bigvlittle inspect <wl> --at-ns N`` produces the same snapshot on
+demand from a healthy run. Everything here is read-only by construction
+— the probes are the scheduler's own side-effect-free contracts — so
+taking a snapshot can never perturb stats (determinism-tested).
 
 Graph semantics:
 
@@ -44,24 +44,6 @@ SCHEMA = "bigvlittle-forensics-v1"
 _INF = 1 << 60
 
 _DOMAINS = ("big", "little", "mem")
-
-
-def _unit_entries(system):
-    """``(name, domain, component)`` triples in the event core's ground
-    order (mirrors ``repro.soc.events._build_units``, including the
-    littles reconfigured as vector lanes)."""
-    entries = []
-    engine = system.engine
-    for c in system.bigs:
-        entries.append((c.core_id, 0, c))
-    if isinstance(engine, DecoupledVectorEngine):
-        entries.append(("dve", 0, engine))
-    for c in system.littles:
-        entries.append((c.core_id, 1, c))
-    if isinstance(engine, VLittleEngine):
-        entries.append(("vcu", 1, engine))
-    entries.append(("mem", 2, system.ms))
-    return entries
 
 
 def _engine_name(system):
@@ -115,7 +97,7 @@ def snapshot(system, t_ps, reason=""):
     engine_name = _engine_name(system)
     units = []
     edges = []
-    for name, domain, obj in _unit_entries(system):
+    for name, domain, obj in system.units():
         det = obj.forensic_state(t_ps)
         done = det.pop("done")
         waits = det.pop("waits_on")

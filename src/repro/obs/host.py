@@ -2,23 +2,22 @@
 
 Everything else in :mod:`repro.obs` watches the simulated machine; this
 module watches the simulation. A :class:`HostScope` attaches to one run
-of the event-driven core (``System.run(..., hostscope=HostScope())``)
-and attributes host wall-seconds to per-component **unit groups** —
-``big`` / ``little`` / ``vcu`` / ``vmu`` / ``vxu`` / ``dve`` / ``l2`` /
-``dram`` / ``mem`` / ``scheduler``, plus the ``vcu.lanes.batch`` /
-``vcu.lanes.scalar`` executor split nested under the VLITTLE engine —
-by timing the event core's per-unit
-dispatch with the monotonic clock, plus a handful of nested seams
-(VMU/VXU inside the engine tick, L2/DRAM request processing inside
-whichever unit triggered it).
+(``System.run(..., hostscope=HostScope())``) and attributes host
+wall-seconds to per-component **unit groups** — ``big`` / ``little`` /
+``vcu`` / ``vmu`` / ``vxu`` / ``dve`` / ``l2`` / ``dram`` / ``mem`` /
+``scheduler``, plus the ``vcu.lanes.batch`` / ``vcu.lanes.scalar``
+executor split nested under the VLITTLE engine — by timing each unit's
+tick with the monotonic clock, plus a handful of nested seams (VMU/VXU
+inside the engine tick, L2/DRAM request processing inside whichever
+unit triggered it).
 
 Attribution is *exclusive*: a nested timed region's wall-time is
 subtracted from its enclosing region via a scope stack, so the group
-walls tile the run and ``scheduler`` (the event core's own select /
-re-arm / settle overhead) is the measured residual — total run wall
-minus the sum of all dispatched work. Coverage is therefore exact by
+walls tile the run and ``scheduler`` (the run loop's own probe /
+skip / boundary overhead) is the measured residual — total run wall
+minus the sum of all timed work. Coverage is therefore exact by
 construction at ``stride=1``; a sampling ``stride > 1`` times only every
-N-th dispatch per group (event counts stay exact) and extrapolates, for
+N-th call per group (event counts stay exact) and extrapolates, for
 workloads where even the paired ``perf_counter`` calls would distort the
 measurement.
 
@@ -26,9 +25,8 @@ Like :class:`~repro.obs.hooks.Observation`, a HostScope is a null-object
 opt-in: nothing in the simulator references it unless one is attached,
 ``stats`` stay bit-identical with and without it (the determinism tests
 enforce this), and it is never part of :class:`~repro.soc.SoCConfig` or
-cache keys. Unlike an Observation it requires the event loop
-(``loop="event"``, the default) — the legacy and dense loops have no
-per-unit dispatch seam to hook.
+cache keys. It works with either ``skip`` setting: the run loop wraps
+each unit's tick callable once, before the loop starts.
 
 The report (``bigvlittle-hostprof-v1``; CLI ``bigvlittle hostprof``)
 answers the ROADMAP's vectorization question with a measurement: the
@@ -58,7 +56,7 @@ _INCL, _CHILD, _CALLS, _SAMPLED = range(4)
 
 
 class HostScope:
-    """Per-unit-group host wall-time attribution for one event-core run."""
+    """Per-unit-group host wall-time attribution for one run."""
 
     __slots__ = ("stride", "wall_s", "loop_events", "finalized",
                  "_recs", "_stack", "_patches", "_flushes")
@@ -94,8 +92,8 @@ class HostScope:
         countdown cell reconciled into the record at :meth:`finalize`.
 
         ``arity`` (1 or 2) marks seams whose every call site passes
-        exactly that many positional arguments — the event core's unit
-        dispatch (``tick(T)``) and the ``VMU.tick(self, now)`` class
+        exactly that many positional arguments — the run loop's unit
+        ticks (``tick(T)``) and the ``VMU.tick(self, now)`` class
         patch. Those wrappers skip ``*args``/``**kwargs`` packing
         entirely: they are the hottest host-side call sites in a
         profiled run, and every nanosecond on the untimed path is pure
@@ -208,8 +206,8 @@ class HostScope:
     def install(self, system):
         """Patch the nested sub-unit seams for one run of ``system``.
 
-        The event core times whole unit dispatches (``big`` / ``little``
-        / ``vcu`` / ``dve`` / ``mem``); the seams below split out the
+        The run loop times whole unit ticks (``big`` / ``little`` /
+        ``vcu`` / ``dve`` / ``mem``); the seams below split out the
         work nested inside them. Class-level patches — restore with
         :meth:`uninstall` in a ``finally``.
         """
@@ -258,8 +256,9 @@ class HostScope:
 
     def finalize(self, wall_s, loop_events=0):
         """Close the scope after the run: record total wall and derive the
-        ``scheduler`` residual (select / re-arm / settle / boundary
-        overhead = run wall minus all dispatched work)."""
+        ``scheduler`` residual (probe / skip / boundary overhead = run
+        wall minus all timed work). ``loop_events`` is the run's
+        executed domain ticks."""
         self.wall_s = wall_s
         self.loop_events = loop_events
         for fl in self._flushes:
@@ -364,9 +363,9 @@ class HostScope:
 
 
 def unit_group(name, domain):
-    """Map an event-core unit (name, domain index) to its hostprof group.
+    """Map a run-loop unit (name, domain index) to its hostprof group.
 
-    Unit names follow the dense loop's construction: big cores are
+    Unit names follow the system's construction: big cores are
     ``big<i>``, littles ``lit<i>``, the engines ``vcu``/``dve``, the
     memory subsystem ``mem``; domain 0 is big, 1 little, 2 mem.
     """

@@ -22,7 +22,8 @@ from __future__ import annotations
 import time
 
 from repro.cores import BigCore, LittleCore
-from repro.errors import ConfigError, WorkloadError
+from repro.errors import ConfigError, DeadlockError, WorkloadError
+from repro.log import get_logger
 from repro.mem import MemorySystem
 from repro.runtime.workstealing import WorkStealingRuntime
 from repro.soc.config import SoCConfig
@@ -32,6 +33,62 @@ from repro.vector import DecoupledVectorEngine, VLittleEngine
 
 _INF = 1 << 60
 
+#: Deadlock-watchdog window in ps (must exceed any legitimate idle
+#: period, e.g. a long mode-switch penalty). Skipping never jumps past a
+#: window boundary, so DeadlockError timestamps match the dense loop's.
+WATCHDOG_PS = 20_000_000
+
+#: watchdog / horizon diagnostics go through the structured logger
+_wdlog = get_logger("repro.soc.watchdog")
+
+
+def _grab_forensics(system, t_ps, reason):
+    """Best-effort scheduling snapshot for a DeadlockError: the probes
+    are pure, but an error-path diagnostic must never mask the deadlock
+    it is describing, so any snapshot failure degrades to None."""
+    try:
+        from repro.obs.forensics import snapshot
+        return snapshot(system, t_ps, reason=reason)
+    except Exception:
+        return None
+
+
+def progress_check(system, t_ps, last_instrs, loop):
+    """One watchdog window's progress check: returns ``(stalled,
+    signature)`` and routes the diagnostic through :mod:`repro.log`
+    (debug level — silent by default)."""
+    instrs = system._progress_signature()
+    stalled = instrs == last_instrs
+    if _wdlog.enabled_for("debug"):
+        _wdlog.debug("watchdog progress check", loop=loop, t_ps=t_ps,
+                     signature=instrs, window_ps=WATCHDOG_PS,
+                     stalled=stalled)
+    return stalled, instrs
+
+
+def watchdog_deadlock(system, t_ps, loop):
+    """The watchdog's DeadlockError — one constructor for both
+    ``skip`` settings keeps the message and timestamp bit-identical —
+    with the forensics snapshot attached and the failure logged (error
+    level: a stalled simulation is always a bug in the workload or the
+    model)."""
+    detail = f"no instruction progress in system {system.config.name}"
+    rep = _grab_forensics(system, t_ps, reason="watchdog")
+    _wdlog.error(detail, loop=loop, t_ps=t_ps, window_ps=WATCHDOG_PS,
+                 frontier=",".join(rep["blocking_frontier"]) if rep else "")
+    return DeadlockError(t_ps, detail, forensics=rep)
+
+
+def horizon_deadlock(system, t_ps, max_ns, loop):
+    """The ``max_ns``-horizon DeadlockError, forensics attached. Logged
+    at debug only: hitting the horizon is often deliberate (bounded
+    runs, ``bigvlittle inspect --at-ns``)."""
+    if _wdlog.enabled_for("debug"):
+        _wdlog.debug(f"exceeded max_ns={max_ns}", loop=loop, t_ps=t_ps)
+    return DeadlockError(t_ps, f"exceeded max_ns={max_ns}",
+                         forensics=_grab_forensics(system, t_ps,
+                                                   reason="horizon"))
+
 
 class System:
     """One simulated SoC built from a :class:`SoCConfig`."""
@@ -40,8 +97,7 @@ class System:
                  "engine", "runtime", "_pb", "_pl", "_pm", "_name",
                  "_wall_t0", "_ticks_big", "_ticks_little", "_ticks_mem",
                  "_skipped_big", "_skipped_little", "_skipped_mem",
-                 "_done_blocker", "_event_unit_ticks", "hostscope",
-                 "critpath")
+                 "_done_blocker")
 
     def __init__(self, config, obs=None):
         if not isinstance(config, SoCConfig):
@@ -121,12 +177,6 @@ class System:
         self._ticks_big = self._ticks_little = self._ticks_mem = 0
         self._skipped_big = self._skipped_little = self._skipped_mem = 0
         self._done_blocker = None
-        self._event_unit_ticks = None  # per-unit executed ticks (event loop)
-        # host-side profiling (repro.obs.host) and sim-time critical-path
-        # attribution (repro.obs.critpath) — like obs, never part of
-        # SoCConfig or cache keys, and no-ops unless attached via run()
-        self.hostscope = None
-        self.critpath = None
         self._wall_t0 = time.perf_counter()
 
     # ------------------------------------------------------------------- run
@@ -190,42 +240,28 @@ class System:
             obs.sampler.attach(self, obs)
 
     def run(self, program=None, max_ns=50_000_000, quiet=True, obs=None,
-            skip=True, loop="event", hostscope=None, critpath=None):
+            skip=True, hostscope=None, critpath=None):
         """Simulate to completion; returns a :class:`RunResult`.
 
-        ``skip`` toggles idle-time elision entirely; ``loop`` picks the
-        scheduler that performs it: ``"event"`` (default) is the per-unit
-        event-driven core in :mod:`repro.soc.events`, ``"legacy"`` the
-        probe-every-span quiescence-skipping loop. Both are run-time knobs
-        only — deliberately *not* part of :class:`SoCConfig` (they must
-        never change ``canonical_json()`` or cache keys) and every stat
-        except the ``sim.ticks_*`` executed/skipped split is bit-identical
-        across all three schedules. ``skip=False`` always runs the dense
-        reference loop that grinds through every tick.
+        ``skip`` toggles idle-time elision: the default loop fast-forwards
+        every span in which all units' ``next_work_ps`` probes rule out
+        work, and ``skip=False`` runs the dense reference loop that grinds
+        through every tick. ``skip`` is a run-time knob only —
+        deliberately *not* part of :class:`SoCConfig` (it must never
+        change ``canonical_json()`` or cache keys) — and every stat except
+        the ``sim.ticks_*`` executed/skipped split is bit-identical across
+        both settings.
 
         ``hostscope`` attaches a :class:`~repro.obs.host.HostScope` that
-        attributes host wall-time to per-unit groups by timing the event
-        core's dispatch — also run-time-only and stat-invisible, but it
-        requires the event loop (the other loops have no per-unit
-        dispatch seam to hook).
-
-        ``critpath`` attaches a :class:`~repro.obs.critpath.CritPath`
-        that charges every advance of simulated time to the unit group
-        whose armed event gated it, plus a wakeup-graph profile — the
-        same contract as ``hostscope``: run-time-only, stat-invisible,
-        event loop required (the other loops advance all domains in
-        lockstep and have no per-unit gating to attribute).
+        attributes host wall-time to per-unit groups by timing each
+        unit's tick; ``critpath`` attaches a
+        :class:`~repro.obs.critpath.CritPath` that charges every advance
+        of simulated time to the unit group whose tick does work at the
+        new instant. Both wrap the per-unit tick callables once, before
+        the loop starts, so the loop itself is the same with or without
+        them; both are run-time-only and stat-invisible, under either
+        value of ``skip``.
         """
-        if loop not in ("event", "legacy"):
-            raise ConfigError(f"unknown run loop {loop!r}")
-        if hostscope is not None and (not skip or loop != "event"):
-            raise ConfigError("hostscope requires the event loop "
-                              "(skip=True, loop='event')")
-        if critpath is not None and (not skip or loop != "event"):
-            raise ConfigError("critpath requires the event loop "
-                              "(skip=True, loop='event')")
-        self.hostscope = hostscope
-        self.critpath = critpath
         if program is not None:
             self.load(program)
         if obs is None:
@@ -234,16 +270,63 @@ class System:
             # attach after load(): task-parallel programs may bypass the
             # engine, and only surviving components should own obs units
             self._attach_obs(obs)
-        if skip and loop == "event":
-            from repro.soc.events import run_event_loop
-            return run_event_loop(self, max_ns)
+        units = self.units()
+        ticks = [u.tick for _, _, u in units]
+        if hostscope is not None or critpath is not None:
+            from repro.obs.host import unit_group
+            for i, (name, dom, u) in enumerate(units):
+                if not getattr(u, "active", True):
+                    continue  # a vector lane: its tick never does work
+                group = unit_group(name, dom)
+                if hostscope is not None:
+                    ticks[i] = hostscope.wrap(ticks[i], group, arity=1)
+                if critpath is not None:
+                    # outside any hostscope wrapper, so critpath
+                    # bookkeeping lands in hostprof's scheduler residual
+                    ticks[i] = critpath.wrap(ticks[i], u.next_work_ps,
+                                             group)
+        if hostscope is not None:
+            hostscope.install(self)
+        try:
+            return self._loop(max_ns, skip, ticks, critpath)
+        finally:
+            if hostscope is not None:
+                hostscope.uninstall()
+                hostscope.finalize(time.perf_counter() - self._wall_t0,
+                                   loop_events=self._ticks_big
+                                   + self._ticks_little + self._ticks_mem)
+
+    def units(self):
+        """``(name, domain, component)`` for every ticking unit, in ground
+        (service) order: big cores, the big-domain engine, little cores
+        (including those reconfigured as vector lanes), the little-domain
+        engine, memory. Domain 0 is big, 1 little, 2 mem."""
+        engine = self.engine
+        units = [(c.core_id, 0, c) for c in self.bigs]
+        if isinstance(engine, DecoupledVectorEngine):
+            units.append(("dve", 0, engine))
+        units += [(c.core_id, 1, c) for c in self.littles]
+        if isinstance(engine, VLittleEngine):
+            units.append(("vcu", 1, engine))
+        units.append(("mem", 2, self.ms))
+        return units
+
+    def _loop(self, max_ns, skip, ticks, cp):
+        """The run loop proper, over ``ticks`` (one callable per unit, in
+        :meth:`units` order); ``cp`` is the attached CritPath, if any."""
         pb, pl, pm = self._pb, self._pl, self._pm
         bigs, littles, engine, ms = self.bigs, self.littles, self.engine, self.ms
-        # pre-bound engine tick callables: the engine's domain is fixed for
-        # the whole run, so resolve the isinstance dispatch once here
-        big_engine_tick = engine.tick if isinstance(engine, DecoupledVectorEngine) else None
-        little_engine_tick = engine.tick if isinstance(engine, VLittleEngine) else None
-        ms_tick = ms.tick
+        n_big = len(bigs)
+        big_engine = isinstance(engine, DecoupledVectorEngine)
+        little_engine = isinstance(engine, VLittleEngine)
+        big_units = list(zip(bigs, ticks[:n_big]))
+        k = n_big
+        big_engine_tick = None
+        if big_engine:
+            big_engine_tick = ticks[k]
+            k += 1
+        little_ticks = ticks[k:-1]
+        ms_tick = ticks[-1]
         done = self._done
         t_big = t_little = t_mem = 0
         t = 0
@@ -251,10 +334,7 @@ class System:
         # interval sampling: with no sampler the loop pays one int compare
         sampler = self.obs.sampler if self.obs is not None else None
         next_sample = sampler.interval_ps if sampler is not None else max_ps + 1
-        from repro.soc.events import WATCHDOG_PS as watchdog_ps
-        from repro.soc.events import (horizon_deadlock, progress_check,
-                                      watchdog_deadlock)
-        loop_name = "legacy" if skip else "dense"
+        loop_name = "skip" if skip else "dense"
         last_progress_check = 0
         last_instrs = -1
         ticks_big = ticks_little = ticks_mem = 0
@@ -280,14 +360,14 @@ class System:
             if nb:
                 for c in bigs:
                     c.skip_ticks(nb)
-                if big_engine_tick is not None:
+                if big_engine:
                     engine.skip_ticks(nb, t_big)
                 t_big += nb * pb
                 skipped_big += nb
             if nl:
                 for c in littles:
                     c.skip_ticks(nl, t_little)
-                if little_engine_tick is not None:
+                if little_engine:
                     engine.skip_ticks(nl, t_little)
                 t_little += nl * pl
                 skipped_little += nl
@@ -296,21 +376,28 @@ class System:
                 t_mem += nm * pm
                 skipped_mem += nm
 
+        def close(t_end, stalled=False):
+            """Publish the tick counters (and close critpath) on exit."""
+            self._ticks_big, self._ticks_little, self._ticks_mem = \
+                ticks_big, ticks_little, ticks_mem
+            self._skipped_big, self._skipped_little, self._skipped_mem = \
+                skipped_big, skipped_little, skipped_mem
+            if cp is not None:
+                cp.finalize(t_end, stalled=stalled)
+
         while t < max_ps:
             t = min(t_big, t_little, t_mem)
             if t == t_big:
-                for c in bigs:
+                for c, tick in big_units:
                     c.set_now_hint(t)
-                    c.tick(t)
+                    tick(t)
                 if big_engine_tick is not None:
                     big_engine_tick(t)
                 t_big += pb
                 ticks_big += 1
             if t == t_little:
-                for c in littles:
-                    c.tick(t)
-                if little_engine_tick is not None:
-                    little_engine_tick(t)
+                for tick in little_ticks:
+                    tick(t)
                 t_little += pl
                 ticks_little += 1
             if t == t_mem:
@@ -321,22 +408,16 @@ class System:
                 sampler.sample(t)
                 next_sample = t + sampler.interval_ps
             if done():
-                self._ticks_big, self._ticks_little, self._ticks_mem = \
-                    ticks_big, ticks_little, ticks_mem
-                self._skipped_big, self._skipped_little, self._skipped_mem = \
-                    skipped_big, skipped_little, skipped_mem
+                close(t + max(pb, pl, pm))
                 return self._result(t + max(pb, pl, pm))
             # watchdog (window must exceed any legitimate idle period,
             # e.g. a long mode-switch penalty)
-            if t - last_progress_check >= watchdog_ps:  # every ~20k ns
+            if t - last_progress_check >= WATCHDOG_PS:  # every ~20k ns
                 last_progress_check = t
                 stalled, instrs = progress_check(self, t, last_instrs,
                                                  loop_name)
                 if stalled:
-                    self._ticks_big, self._ticks_little, self._ticks_mem = \
-                        ticks_big, ticks_little, ticks_mem
-                    self._skipped_big, self._skipped_little, self._skipped_mem = \
-                        skipped_big, skipped_little, skipped_mem
+                    close(t, stalled=True)
                     raise watchdog_deadlock(self, t, loop_name)
                 last_instrs = instrs
             if not skip:
@@ -358,8 +439,7 @@ class System:
                 if b < T:
                     T = b
             if T and engine is not None:
-                b = engine.next_work_ps(t_big if little_engine_tick is None
-                                        else t_little)
+                b = engine.next_work_ps(t_little if little_engine else t_big)
                 if not b:
                     T = 0
                 elif b < T:
@@ -384,7 +464,7 @@ class System:
                 # original times: the watchdog window and the max_ns
                 # horizon (both independent of obs/sampler attachment, so
                 # the executed/skipped split never changes when they are)
-                wd = last_progress_check + watchdog_ps
+                wd = last_progress_check + WATCHDOG_PS
                 if wd < T:
                     T = wd
                 if max_ps < T:
@@ -433,10 +513,7 @@ class System:
                 stride = 1
             elif stride < 64:
                 stride += stride
-        self._ticks_big, self._ticks_little, self._ticks_mem = \
-            ticks_big, ticks_little, ticks_mem
-        self._skipped_big, self._skipped_little, self._skipped_mem = \
-            skipped_big, skipped_little, skipped_mem
+        close(t)
         raise horizon_deadlock(self, t, max_ns, loop_name)
 
     def _progress_signature(self):

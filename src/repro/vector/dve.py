@@ -53,7 +53,7 @@ class DecoupledVectorEngine:
         "_cmdq", "_vready", "_trackers", "_line_to_tracker", "_pending_reqs",
         "_inflight", "_loadq_used", "_store_outstanding", "_pipe_free",
         "_token", "instrs", "line_reqs", "store_line_reqs", "_pop_at",
-        "obs", "_pv", "_obs_inflight", "_ev_notify",
+        "obs", "_pv", "_obs_inflight",
     )
 
     def __init__(
@@ -103,8 +103,6 @@ class DecoupledVectorEngine:
 
         self.obs = None  # UnitObs handle; every hook is a single cheap check
         self._pv = None  # PipeView handle; same cheap-check discipline
-        # event-loop wakeup: fired on dispatch pushes from the big core
-        self._ev_notify = None
 
     # --------------------------------------------------------- observability
 
@@ -122,9 +120,6 @@ class DecoupledVectorEngine:
         return len(self._cmdq) < self.cmdq_depth
 
     def dispatch(self, ins, now, respond=None):
-        n = self._ev_notify
-        if n is not None:
-            n()  # big-core push: settle + re-arm before the queues mutate
         self.instrs += 1
         if ins.op == VOp.VSETVL:
             # the grant depends only on avl and vtype — no need to traverse

@@ -321,7 +321,7 @@ class VLittleEngine:
         "_l_avail", "_l_busy", "_l_hot", "_l_uops", "_bd_batch",
         "batch_fallbacks", "_obs_fallbacks",
         "obs", "_pv", "_lane_obs", "_obs_uopq", "_obs_dataq",
-        "_obs_last_uopq", "_vxu_obs", "_ev_notify",
+        "_obs_last_uopq", "_vxu_obs",
     )
 
     def __init__(
@@ -404,9 +404,6 @@ class VLittleEngine:
 
         self.obs = None  # VCU UnitObs; every hook is a single cheap check
         self._pv = None  # PipeView handle; same cheap-check discipline
-        # event-loop wakeup: fired on dispatch/end_region pushes from the
-        # big core and on L1D slice fills arriving for the VMU
-        self._ev_notify = None
 
     # --------------------------------------------------------- observability
 
@@ -470,9 +467,6 @@ class VLittleEngine:
     def end_region(self):
         """OS switched the cluster back to scalar mode (CSR write): the next
         vector region pays the switch penalty again (§III-B)."""
-        n = self._ev_notify
-        if n is not None:
-            n()
         self._ready_at = None
 
     def next_accept_ps(self, now):
@@ -490,9 +484,6 @@ class VLittleEngine:
         return _INF
 
     def dispatch(self, ins, now, respond=None):
-        n = self._ev_notify
-        if n is not None:
-            n()  # big-core push: settle + re-arm before the queues mutate
         self.instrs += 1
         op = ins.op
         if ins.rd is None and op != VOp.VSETVL:

@@ -429,9 +429,6 @@ class VMSU:
 
     def _fill_waiter(self, req):
         def waiter(line, ready):
-            n = self.vmu.engine._ev_notify
-            if n is not None:
-                n()
             req.data_ready = ready
 
         return waiter
@@ -466,9 +463,6 @@ class VMSU:
         self._store_fills += 1
 
         def waiter(line, ready):
-            n = self.vmu.engine._ev_notify
-            if n is not None:
-                n()
             self._store_fills -= 1
 
         return waiter

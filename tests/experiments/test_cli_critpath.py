@@ -2,7 +2,7 @@
 
 Contract: both verbs simulate fresh (never touch the result cache);
 ``critpath`` prints the per-group breakdown or writes a valid
-``bigvlittle-critpath-v1`` report that tiles the total simulated time
+``bigvlittle-critpath-v2`` report that tiles the total simulated time
 exactly; ``inspect`` renders / writes the same
 ``bigvlittle-forensics-v1`` snapshot a DeadlockError would carry.
 """
@@ -25,7 +25,7 @@ def test_critpath_table(fresh_cache, run_spy, capsys):
     assert run_spy["n"] == 1
     out = capsys.readouterr().out
     assert "tiles exactly" in out
-    assert "big" in out and "wakeups" in out
+    assert "big" in out and "mem" in out
     _cache_untouched(fresh_cache)
 
 
@@ -33,11 +33,11 @@ def test_critpath_json_stdout_tiles(fresh_cache, capsys):
     assert main([*CP_ARGS, "--json"]) == 0
     text = capsys.readouterr().out
     doc = json.loads(text[text.index("{"):])
-    assert doc["schema"] == "bigvlittle-critpath-v1"
+    assert doc["schema"] == "bigvlittle-critpath-v2"
     assert doc["tiles"] is True
     assert doc["attributed_ps"] == doc["total_ps"] > 0
     assert doc["meta"]["workload"] == "saxpy"
-    assert doc["meta"]["loop"] == "event"
+    assert doc["meta"]["loop"] == "skip"
     _cache_untouched(fresh_cache)
 
 
@@ -45,7 +45,7 @@ def test_critpath_json_file(tmp_path, fresh_cache, capsys):
     out = tmp_path / "critpath.json"
     assert main([*CP_ARGS, "--json", str(out)]) == 0
     doc = json.loads(out.read_text())
-    assert doc["tiles"] is True and doc["wakeup_edges"] > 0
+    assert doc["tiles"] is True and "wakeups" not in doc
     assert "wrote critpath report" in capsys.readouterr().out
     _cache_untouched(fresh_cache)
 

@@ -34,7 +34,7 @@ def test_hostprof_json_stdout_meets_coverage_bar(fresh_cache, capsys):
     assert doc["schema"] == "bigvlittle-hostprof-v1"
     assert doc["coverage"] >= 0.95
     assert doc["meta"]["workload"] == "saxpy"
-    assert doc["meta"]["loop"] == "event"
+    assert doc["meta"]["loop"] == "skip"
     assert doc["meta"]["cycles"] > 0
     _cache_untouched(fresh_cache)
 

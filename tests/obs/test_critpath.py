@@ -1,18 +1,17 @@
-"""CritPath tests: exact tiling, stat invisibility, wakeup edges, loop
-gating, reports.
+"""CritPath tests: exact tiling, stat invisibility, skip/dense
+agreement, reports.
 
 Contract: the per-unit-group critical sim-times sum EXACTLY to the
 total simulated time on every §IV system matrix preset (tiling is the
-attribution invariant, not an approximation), an attached CritPath
-never changes a single stat, and the legacy/dense loops — which have no
-per-unit gating — refuse it.
+attribution invariant, not an approximation), with and without
+skipping; an attached CritPath never changes a single stat.
 """
 
 import json
 
 import pytest
 
-from repro.errors import ConfigError, DeadlockError
+from repro.errors import DeadlockError
 from repro.experiments.runner import _program_for
 from repro.obs import CritPath
 from repro.obs.critpath import GROUPS, SCHEMA
@@ -65,24 +64,16 @@ def test_groups_are_known_and_plausible():
     assert shares == pytest.approx(1.0)
 
 
-def test_wakeup_edges_are_counted_and_resolved():
-    cp = CritPath()
-    _run(critpath=cp)
-    rows = cp.wakeup_rows()
-    assert rows and all(r["count"] > 0 for r in rows)
-    names = {r["waker"] for r in rows} | {r["wakee"] for r in rows}
-    # every name resolves: a unit from the run or the scheduler pseudo-node
-    assert not any(n.startswith("unit") for n in names)
-    assert any(r["waker"] == "big0" and r["wakee"] == "vcu" for r in rows)
-    rep = cp.report()
-    assert rep["wakeup_edges"] == sum(r["count"] for r in rows)
-
-
-def test_critpath_requires_event_loop():
-    with pytest.raises(ConfigError, match="event loop"):
-        _run(critpath=CritPath(), skip=False)
-    with pytest.raises(ConfigError, match="event loop"):
-        _run(critpath=CritPath(), loop="legacy")
+@pytest.mark.parametrize("system", MATRIX)
+def test_dense_loop_tiles_and_matches_skip(system):
+    """Skipped spans roll forward exactly like idle dense ticks, so the
+    attribution does not depend on ``skip``."""
+    dense, skipped = CritPath(), CritPath()
+    result = _run(system=system, critpath=dense, skip=False)
+    _run(system=system, critpath=skipped)
+    assert dense.tiles() and dense.total_ps == result.stats["time_ps"]
+    assert dense.group_rows() == skipped.group_rows()
+    assert result.stats == _run(system=system, skip=False).stats
 
 
 def test_report_json_roundtrip(tmp_path):
@@ -101,7 +92,9 @@ def test_format_table_reports_exact_tiling():
     cp = CritPath()
     _run(critpath=cp)
     table = cp.format_table(top=3)
-    assert "tiles exactly" in table and "wakeups" in table
+    assert "tiles exactly" in table
+    # at most ``top`` group rows between the header and the total line
+    assert len(table.splitlines()) <= 2 + 3 + 1
 
 
 class _WedgedSource(InstrSource):
@@ -118,13 +111,23 @@ class _WedgedSource(InstrSource):
         return False
 
 
-def test_deadlocked_run_tiles_via_stalled_group():
+def _wedged_critpath(skip):
     sys_ = System(preset("1b"))
     sys_.bigs[0].set_source(_WedgedSource())
     cp = CritPath()
     with pytest.raises(DeadlockError) as ei:
-        sys_.run(critpath=cp)
+        sys_.run(critpath=cp, skip=skip)
     assert cp.finalized and cp.tiles()
     assert cp.total_ps == ei.value.cycle
     stalled = {r["group"]: r["crit_ps"] for r in cp.group_rows()}["stalled"]
     assert stalled > 0  # the wedged tail is charged to the stall
+    return cp
+
+
+def test_deadlocked_run_tiles_via_stalled_group():
+    _wedged_critpath(skip=True)
+
+
+def test_deadlocked_dense_run_tiles_like_skip():
+    assert (_wedged_critpath(skip=False).group_rows()
+            == _wedged_critpath(skip=True).group_rows())

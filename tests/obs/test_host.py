@@ -4,7 +4,7 @@ Contract: a hostscoped run attributes at least 95% of its measured wall
 time to unit groups (the acceptance bar — by construction the residual
 ``scheduler`` group makes coverage exact at stride 1), never perturbs
 simulated ``stats``, restores every class-level seam it patched, and
-refuses the loops that have no per-unit dispatch seam.
+works with and without skipping.
 """
 
 import json
@@ -86,11 +86,15 @@ def test_patched_seams_are_restored():
             VectorMemoryUnit.tick) == originals
 
 
-def test_hostscope_requires_event_loop():
-    with pytest.raises(ConfigError, match="event loop"):
-        _run(hostscope=HostScope(), skip=False)
-    with pytest.raises(ConfigError, match="event loop"):
-        _run(hostscope=HostScope(), loop="legacy")
+def test_dense_loop_profiles_too():
+    hs = HostScope()
+    base = _run(skip=False)
+    probed = _run(hostscope=hs, skip=False)
+    assert probed.stats == base.stats
+    rep = hs.report()
+    assert rep["coverage"] >= 0.95
+    assert rep["loop_events"] == sum(
+        probed.stats[f"sim.ticks_{d}"] for d in ("big", "little", "mem"))
 
 
 def test_bad_stride_rejected():

@@ -1,13 +1,14 @@
-"""Differential-equivalence harness: legacy vs event run loops.
+"""Differential-equivalence harness: the skipping loop vs the dense loop.
 
-The event core (``repro.soc.events``) must be *stat-invisible*: for any
-config and program, ``run(loop="event")`` and ``run(loop="legacy")``
-produce bit-identical :class:`RunResult` stats apart from the
-``sim.ticks_*`` executed/skipped META split, whose per-domain sums must
-agree (both equal the dense tick total). This module generates seeded
-randomized cases — config knobs (little-core count, vector length,
-chime count, L2 banks, DVFS point) crossed with workload kinds (dense
-kernel, the ``switch_thrash``/``dram_chain`` synthetics, work-stealing
+Quiescence skipping must be *stat-invisible*: for any config and
+program, ``run()`` (the default, skipping) and ``run(skip=False)`` (the
+dense reference that ticks every unit on every cycle) produce
+bit-identical :class:`RunResult` stats apart from the ``sim.ticks_*``
+executed/skipped META split, whose per-domain sums must agree (both
+equal the dense tick total). This module generates seeded randomized
+cases — config knobs (little-core count, vector length, chime count, L2
+banks, DVFS point) crossed with workload kinds (dense kernel, the
+``switch_thrash``/``dram_chain`` synthetics, work-stealing
 task-parallel) — and checks each pair through :mod:`repro.obs.diff`.
 
 Used two ways:
@@ -22,9 +23,9 @@ Used two ways:
           --loop-arm batched-off
 
 The ``batched-off`` arm pins the VLITTLE engine's batched lane executor
-against the same event loop with per-lane scalar execution forced
-(``VLittleEngine.batched = False``) — the tentpole contract of the
-chime-batched executor.
+against the same default loop with per-lane scalar execution forced
+(``VLittleEngine.batched = False``) — the contract of the chime-batched
+executor.
 """
 
 from __future__ import annotations
@@ -79,15 +80,18 @@ def make_case(seed):
     else:
         base = rng.choice(("1b-4L", "1bIV-4L", "1bDV", "1b-4VL"))
     over = {"mem": MemConfig(l2_banks=rng.choice((1, 2, 4, 8)))}
-    if base != "1bDV":
-        over["n_little"] = rng.choice((1, 2, 3, 4))
     if base == "1b-4VL":
-        over["chimes"] = rng.choice((1, 2, 4))
+        # only values VLittleEngine accepts: the lanes bank the VMU, so a
+        # power-of-two lane count, and one or two chimes
+        over["n_little"] = rng.choice((1, 2, 4))
+        over["chimes"] = rng.choice((1, 2))
         over["switch_penalty"] = rng.choice((50, 200, 500))
-    elif base in ("1bIV", "1bIV-4L"):
-        over["ivu_vlen_bits"] = rng.choice((64, 128, 256))
     elif base == "1bDV":
         over["dve_vlen_bits"] = rng.choice((512, 1024, 2048))
+    else:
+        over["n_little"] = rng.choice((1, 2, 3, 4))
+        if base == "1bIV-4L":
+            over["ivu_vlen_bits"] = rng.choice((64, 128, 256))
     cfg = preset(base, **over)
     # DVFS point: roughly half the cases skew the three clock domains
     if rng.random() < 0.5:
@@ -115,50 +119,49 @@ def split_meta(result):
 
 
 def _run_forced_scalar(case):
-    """Event-loop run with the VLITTLE engine's batched lane executor
+    """Default-loop run with the VLITTLE engine's batched lane executor
     forced off (the per-lane scalar path for every tick). ``batched`` is
-    a run-time knob like ``loop``/``skip``: never in SoCConfig or cache
-    keys, and by contract stat-invisible."""
+    a run-time knob like ``skip``: never in SoCConfig or cache keys, and
+    by contract stat-invisible."""
     sys_ = System(case.cfg)
     if isinstance(sys_.engine, VLittleEngine):
         sys_.engine.batched = False
-    return sys_.run(case.program, loop="event")
+    return sys_.run(case.program)
 
 
-def check_case(case, arm="legacy"):
-    """Run both arms of ``case``; raise AssertionError on any
-    divergence. Returns the two results.
+def check_case(case, arm="dense"):
+    """Run ``case`` on the default loop and on a reference arm; raise
+    AssertionError on any divergence. Returns ``(reference, result)``.
 
-    ``arm="legacy"`` compares the legacy scheduler against the event
-    core; ``arm="batched-off"`` compares the event core's batched lane
-    executor against the same loop with per-lane scalar execution
-    forced (``VLittleEngine.batched = False``).
+    ``arm="dense"`` takes the dense loop (``skip=False``) as the
+    reference; ``arm="batched-off"`` takes the default loop with
+    per-lane scalar execution forced (``VLittleEngine.batched = False``).
     """
     if arm == "batched-off":
-        legacy = _run_forced_scalar(case)
+        ref = _run_forced_scalar(case)
         names = ("scalar", "batched")
     else:
-        legacy = System(case.cfg).run(case.program, loop="legacy")
-        names = ("legacy", "event")
-    event = System(case.cfg).run(case.program, loop="event")
-    meta_l, rest_l = split_meta(legacy)
-    meta_e, rest_e = split_meta(event)
-    report = diff_stats(rest_l, rest_e, *names)
+        ref = System(case.cfg).run(case.program, skip=False)
+        names = ("dense", "skip")
+    res = System(case.cfg).run(case.program)
+    meta_r, rest_r = split_meta(ref)
+    meta_s, rest_s = split_meta(res)
+    report = diff_stats(rest_r, rest_s, *names)
     assert report.identical, (
         f"{case.ident}: stat divergence\n" + report.format_table())
-    assert legacy.cycles == event.cycles, (
-        f"{case.ident}: cycles {legacy.cycles} != {event.cycles}")
+    assert ref.cycles == res.cycles, (
+        f"{case.ident}: cycles {ref.cycles} != {res.cycles}")
     for d in DOMAINS:
-        sl = meta_l[f"sim.ticks_{d}"] + meta_l[f"sim.ticks_skipped_{d}"]
-        se = meta_e[f"sim.ticks_{d}"] + meta_e[f"sim.ticks_skipped_{d}"]
-        assert sl == se, (
-            f"{case.ident}: {d} tick total {sl} (legacy) != {se} (event)")
+        sr = meta_r[f"sim.ticks_{d}"] + meta_r[f"sim.ticks_skipped_{d}"]
+        ss = meta_s[f"sim.ticks_{d}"] + meta_s[f"sim.ticks_skipped_{d}"]
+        assert sr == ss, (f"{case.ident}: {d} tick total {sr} "
+                          f"({names[0]}) != {ss} ({names[1]})")
     # (Work-stealing programs may skip too: a worker whose impure source
     # could claim work on the next tick vetoes its own skip, so every
     # task-steal race resolves at exactly the dense loop's instant —
     # the bit-identical diff above is the proof. Only the META split
     # differs between the arms.)
-    return legacy, event
+    return ref, res
 
 
 def main(argv=None):
@@ -166,22 +169,22 @@ def main(argv=None):
     ap.add_argument("--cases", type=int, default=30)
     ap.add_argument("--seed", type=int, default=0,
                     help="first seed of the contiguous seed range")
-    ap.add_argument("--loop-arm", choices=("legacy", "batched-off"),
-                    default="legacy",
-                    help="reference arm: the legacy scheduler, or the "
-                         "event core with batched lane execution forced "
-                         "off (scalar per-lane path)")
+    ap.add_argument("--loop-arm", choices=("dense", "batched-off"),
+                    default="dense",
+                    help="reference arm: the dense loop (skip=False), or "
+                         "the default loop with batched lane execution "
+                         "forced off (scalar per-lane path)")
     args = ap.parse_args(argv)
     failures = 0
     for seed in range(args.seed, args.seed + args.cases):
         case = make_case(seed)
         try:
-            legacy, event = check_case(case, arm=args.loop_arm)
+            _, res = check_case(case, arm=args.loop_arm)
         except AssertionError as exc:
             failures += 1
             print(f"FAIL {case.ident}: {exc}")
             continue
-        print(f"ok   {case.ident:24s} cycles={event.cycles}")
+        print(f"ok   {case.ident:24s} cycles={res.cycles}")
     print(f"{args.cases - failures}/{args.cases} equivalent")
     return 1 if failures else 0
 
