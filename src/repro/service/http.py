@@ -52,6 +52,11 @@ def _make_handler(app):
     class Handler(BaseHTTPRequestHandler):
         server_version = f"bigvlittle-service/{SERVICE_SCHEMA.rsplit('-', 1)[-1]}"
         protocol_version = "HTTP/1.1"
+        # TCP_NODELAY on every accepted connection: a response goes out as
+        # a header write then a body write, and with Nagle on the body
+        # waits ~40 ms for the client's delayed ACK of the headers on
+        # every keep-alive request after the first
+        disable_nagle_algorithm = True
 
         def log_message(self, fmt, *args):
             _logger.info(f"[http] {self.address_string()} {fmt % args}")
@@ -120,7 +125,8 @@ class ServiceApp:
 
     # -------------------------------------------------------------- plumbing
 
-    def _send(self, handler, status, body, level, content_type=None):
+    def _send(self, handler, status, body, level, content_type=None,
+              close=False):
         if isinstance(body, bytes):
             data = body
             content_type = content_type or "application/octet-stream"
@@ -133,11 +139,14 @@ class ServiceApp:
         handler.send_header("Content-Length", str(len(data)))
         handler.send_header("X-BigVLittle-Schema", SERVICE_SCHEMA)
         handler.send_header("X-BigVLittle-Cache", level)
+        if close:  # send_header also sets handler.close_connection
+            handler.send_header("Connection", "close")
         handler.end_headers()
         handler.wfile.write(data)
 
-    def _error(self, handler, status, message, hint=None):
-        self._send(handler, status, error_body(message, hint=hint), "miss")
+    def _error(self, handler, status, message, hint=None, close=False):
+        self._send(handler, status, error_body(message, hint=hint), "miss",
+                   close=close)
 
     # ---------------------------------------------------------------- routes
 
@@ -186,18 +195,27 @@ class ServiceApp:
             self._error(handler, 500, f"internal error: {exc}")
 
     def handle_post(self, handler):
+        # An error sent before the body is read closes the connection:
+        # on keep-alive the unread body bytes would otherwise be parsed as
+        # the client's next request.
         url = urlparse(handler.path)
         parts = [p for p in url.path.split("/") if p]
+        raw = None
         try:
             if parts != ["v1", "runs"]:
                 return self._error(handler, 404,
                                    f"no POST route for {url.path}",
-                                   hint="submit work with POST /v1/runs")
-            length = int(handler.headers.get("Content-Length") or 0)
+                                   hint="submit work with POST /v1/runs",
+                                   close=True)
+            try:
+                length = int(handler.headers.get("Content-Length") or 0)
+            except ValueError:
+                length = 0
             if length <= 0 or length > MAX_BODY_BYTES:
                 return self._error(handler, 400,
                                    "a JSON body is required "
-                                   f"(1..{MAX_BODY_BYTES} bytes)")
+                                   f"(1..{MAX_BODY_BYTES} bytes)",
+                                   close=True)
             raw = handler.rfile.read(length)
             try:
                 doc = json.loads(raw.decode("utf-8"))
@@ -219,7 +237,8 @@ class ServiceApp:
                               "fresh")
         except Exception as exc:
             _logger.info(f"[http] 500 on {handler.path}: {exc}")
-            self._error(handler, 500, f"internal error: {exc}")
+            self._error(handler, 500, f"internal error: {exc}",
+                        close=raw is None)
 
     # -------------------------------------------------------------- results
 

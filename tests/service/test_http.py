@@ -1,11 +1,16 @@
 """HTTP API tests over a real socket: contract headers, artifact serving
-(warm GETs never simulate), dedup, validation, and graceful drain."""
+(warm GETs never simulate), keep-alive transport, dedup, validation, and
+graceful drain."""
 
+import http.client
 import json
+import socket
+import statistics
 import time
 import urllib.error
 import urllib.request
 
+from repro.service.http import MAX_BODY_BYTES
 from repro.service.schemas import ENDPOINTS, SERVICE_SCHEMA
 
 RUN = {"system": "1b", "workload": "vvadd", "scale": "tiny"}
@@ -185,6 +190,85 @@ def test_requested_artifacts_serve_after_job(service_app):
     status, headers, _ = req(service_app, "GET",
                              f"/v1/results/{key}/stall.svg")
     assert headers["Content-Type"] == "image/svg+xml"
+
+
+# -------------------------------------------------------------- transport
+#
+# urllib opens a fresh connection per request, and a fresh TCP connection
+# ACKs at once, so only reuse of one connection shows transport stalls.
+
+def test_keep_alive_gets_are_fast_and_byte_identical(service_app):
+    """Twenty GETs of a cached artifact over one connection each return
+    the urllib bytes, at a median far below the ~40 ms a Nagle /
+    delayed-ACK stall adds when headers and body leave as two writes."""
+    job = submit_and_wait(service_app, dict(RUN))
+    path = f"/v1/results/{job['keys'][0]}/stats"
+    status, _, expected = req(service_app, "GET", path)
+    assert status == 200
+    conn = http.client.HTTPConnection("127.0.0.1", service_app.port,
+                                      timeout=10)
+    try:
+        latencies = []
+        for _ in range(20):
+            t0 = time.perf_counter()
+            conn.request("GET", path)
+            resp = conn.getresponse()
+            body = resp.read()
+            latencies.append(time.perf_counter() - t0)
+            assert resp.status == 200
+            assert body == expected
+    finally:
+        conn.close()
+    assert statistics.median(latencies) < 0.020, latencies
+
+
+def test_keep_alive_survives_an_error_response(service_app):
+    conn = http.client.HTTPConnection("127.0.0.1", service_app.port,
+                                      timeout=10)
+    try:
+        conn.request("GET", "/v2/nope")
+        resp = conn.getresponse()
+        assert resp.status == 404 and "hint" in json.loads(resp.read())
+        conn.request("GET", "/v1/healthz")
+        resp = conn.getresponse()
+        assert resp.status == 200 and json.loads(resp.read())["ok"] is True
+    finally:
+        conn.close()
+
+
+def _raw_exchange(app, request):
+    """Send raw bytes on one connection; return everything the server
+    writes before it closes (or goes quiet for 2 s)."""
+    with socket.create_connection(("127.0.0.1", app.port), timeout=2) as s:
+        s.sendall(request)
+        data = b""
+        try:
+            while True:
+                chunk = s.recv(65536)
+                if not chunk:
+                    break
+                data += chunk
+        except (socket.timeout, ConnectionResetError):
+            pass
+    return data
+
+
+def test_rejected_post_body_is_not_parsed_as_a_request(service_app):
+    """A POST rejected before its body is read closes the connection, so
+    the unread body bytes cannot be run as a smuggled second request."""
+    smuggled = b"GET /v1/healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+    for path, length in (("/v1/runs", MAX_BODY_BYTES + 1),
+                         ("/v1/nope", len(smuggled)),
+                         ("/v1/runs", "junk")):
+        head = (f"POST {path} HTTP/1.1\r\nHost: x\r\n"
+                "Content-Type: application/json\r\n"
+                f"Content-Length: {length}\r\n\r\n").encode()
+        data = _raw_exchange(service_app, head + smuggled)
+        status_lines = [line for line in data.split(b"\r\n")
+                        if line.startswith(b"HTTP/1.1 ")]
+        assert len(status_lines) == 1, (path, length, data)
+        assert status_lines[0].split()[1] in (b"400", b"404")
+        assert b"\r\nConnection: close\r\n" in data
 
 
 # ------------------------------------------------------------ stats, drain

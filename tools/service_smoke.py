@@ -9,9 +9,12 @@ What CI runs (and what an operator can run locally to vet a deploy):
 4. fetch the ``stats`` artifact twice — first ``generated``, then
    ``artifact`` — and byte-compare it against a direct in-process
    ``run_pair`` dump (the no-simulation-drift guarantee);
-5. re-submit the same body and require dedup/instant completion;
-6. check ``GET /v1/stats`` counters reconcile with the telemetry JSONL;
-7. SIGTERM the server and require a clean drain + exit 0.
+5. fetch it 20 more times over one keep-alive connection, byte-compare
+   each fetch with the direct dump and require a median under 20 ms (a
+   Nagle / delayed-ACK stall costs ~40 ms per reused-connection GET);
+6. re-submit the same body and require dedup/instant completion;
+7. check ``GET /v1/stats`` counters reconcile with the telemetry JSONL;
+8. SIGTERM the server and require a clean drain + exit 0.
 
 Usage: ``python tools/service_smoke.py [--keep DIR]`` — ``--keep``
 copies the server's telemetry log and fetched artifacts into DIR (CI
@@ -26,12 +29,14 @@ import json
 import os
 import shutil
 import signal
+import statistics
 import subprocess
 import sys
 import tempfile
 import time
 import urllib.error
 import urllib.request
+from http.client import HTTPConnection
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 sys.path.insert(0, os.path.join(ROOT, "src"))
@@ -145,6 +150,27 @@ def main():
                         "run_pair dump", proc)
         print(f"service_smoke: stats artifact byte-identical to direct run "
               f"({len(served)} bytes)")
+
+        conn = HTTPConnection("127.0.0.1", port, timeout=10)
+        latencies = []
+        try:
+            for _ in range(20):
+                t0 = time.perf_counter()
+                conn.request("GET", f"/v1/results/{key}/stats")
+                resp = conn.getresponse()
+                fetched = resp.read()
+                latencies.append((time.perf_counter() - t0) * 1e3)
+                if resp.status != 200 or fetched != direct:
+                    return fail(f"keep-alive stats GET returned "
+                                f"{resp.status} or different bytes", proc)
+        finally:
+            conn.close()
+        median_ms = statistics.median(latencies)
+        if median_ms >= 20.0:
+            return fail(f"keep-alive GET median {median_ms:.1f} ms >= 20 ms "
+                        f"over 20 fetches on one connection", proc)
+        print(f"service_smoke: 20 keep-alive GETs byte-identical, median "
+              f"{median_ms:.2f} ms")
 
         status, _, raw = http("POST", f"{base}/v1/runs", body)
         if status != 200 and json.loads(raw)["state"] != "done":
